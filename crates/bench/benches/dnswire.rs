@@ -1,9 +1,12 @@
 //! DNS wire-format throughput: the hot path of the simulation (every
 //! packet's payload is encoded/decoded once per hop endpoint).
 
+use bcd_core::{QnameCodec, SuffixKind};
 use bcd_dnswire::{Message, MessageView, Name, RCode, RData, RType, Record, WireWriter};
+use bcd_netsim::SimTime;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::net::IpAddr;
 
 fn experiment_query() -> Message {
     Message::query(
@@ -74,6 +77,41 @@ fn bench(c: &mut Criterion) {
             let v = MessageView::parse(black_box(&query_bytes)).unwrap();
             black_box((v.id(), v.qr(), v.question().unwrap()))
         })
+    });
+    // The per-probe name work: building a probe's unique name, cloning it
+    // into logs and maps, and ordering it against a sibling (BTreeMap keys
+    // and sorted logs).
+    let codec = QnameCodec::new(&"dns-lab.org".parse().unwrap(), "x7");
+    let src: IpAddr = "10.1.2.3".parse().unwrap();
+    let dst: IpAddr = "203.0.113.77".parse().unwrap();
+    let probe = codec.encode(
+        SimTime::from_nanos(123_456_789),
+        src,
+        dst,
+        64_500,
+        SuffixKind::Main,
+    );
+    let sibling = codec.encode(
+        SimTime::from_nanos(123_456_790),
+        src,
+        dst,
+        64_500,
+        SuffixKind::Main,
+    );
+    c.bench_function("qname_encode", |b| {
+        b.iter(|| {
+            codec.encode(
+                black_box(SimTime::from_nanos(123_456_789)),
+                black_box(src),
+                black_box(dst),
+                64_500,
+                SuffixKind::Main,
+            )
+        })
+    });
+    c.bench_function("name_clone", |b| b.iter(|| black_box(&probe).clone()));
+    c.bench_function("name_cmp", |b| {
+        b.iter(|| black_box(&probe).cmp(black_box(&sibling)))
     });
     c.bench_function("name_parse", |b| {
         b.iter(|| {

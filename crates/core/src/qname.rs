@@ -18,8 +18,10 @@
 //! labels decodes to an [`ExperimentTag`]; queries cut short by QNAME
 //! minimization decode to [`Decoded::Partial`] (§3.6.4).
 
-use bcd_dnswire::Name;
+use bcd_dnswire::{Name, MAX_NAME_WIRE_LEN};
 use bcd_netsim::SimTime;
+use std::fmt;
+use std::io::{self, Write as _};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 /// Which experiment zone a name belongs to.
@@ -71,30 +73,41 @@ pub struct QnameCodec {
     tcp: Name,
 }
 
-fn encode_addr(ip: IpAddr) -> String {
-    match ip {
-        IpAddr::V4(a) => {
-            let o = a.octets();
-            format!("s{}-{}-{}-{}", o[0], o[1], o[2], o[3])
-        }
-        IpAddr::V6(a) => {
-            let s = a.segments();
-            format!(
-                "s{:x}-{:x}-{:x}-{:x}-{:x}-{:x}-{:x}-{:x}",
-                s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
-            )
+/// An address as a label body: `a-b-c-d` (IPv4, decimal) or eight
+/// `-`-separated hex groups (IPv6).
+struct DashedAddr(IpAddr);
+
+impl fmt::Display for DashedAddr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            IpAddr::V4(a) => {
+                let o = a.octets();
+                write!(f, "{}-{}-{}-{}", o[0], o[1], o[2], o[3])
+            }
+            IpAddr::V6(a) => {
+                let s = a.segments();
+                write!(
+                    f,
+                    "{:x}-{:x}-{:x}-{:x}-{:x}-{:x}-{:x}-{:x}",
+                    s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+                )
+            }
         }
     }
 }
 
-fn decode_addr(label: &[u8]) -> Option<IpAddr> {
-    let text = std::str::from_utf8(label).ok()?;
-    let text = text.strip_prefix(['s', 'd'])?;
-    let parts: Vec<&str> = text.split('-').collect();
-    match parts.len() {
+fn decode_addr(label: &str) -> Option<IpAddr> {
+    let text = label.strip_prefix(['s', 'd'])?;
+    let mut parts = [""; 8];
+    let mut n = 0;
+    for p in text.split('-') {
+        *parts.get_mut(n)? = p;
+        n += 1;
+    }
+    match n {
         4 => {
             let mut o = [0u8; 4];
-            for (i, p) in parts.iter().enumerate() {
+            for (i, p) in parts[..4].iter().enumerate() {
                 o[i] = p.parse().ok()?;
             }
             Some(IpAddr::V4(Ipv4Addr::from(o)))
@@ -133,7 +146,8 @@ impl QnameCodec {
         }
     }
 
-    /// Build the probe name.
+    /// Build the probe name. The five labels are formatted into one stack
+    /// buffer ahead of the apex's labels, so this allocates once.
     pub fn encode(
         &self,
         ts: SimTime,
@@ -142,17 +156,28 @@ impl QnameCodec {
         asn: u32,
         suffix: SuffixKind,
     ) -> Name {
-        let apex = self.suffix_apex(suffix);
-        let mut name = apex.child(self.kw.as_bytes()).expect("kw label");
-        name = name.child(format!("a{asn}").as_bytes()).expect("asn label");
-        name = name
-            .child(encode_addr(dst).replacen('s', "d", 1).as_bytes())
-            .expect("dst label");
-        name = name.child(encode_addr(src).as_bytes()).expect("src label");
-        name = name
-            .child(format!("t{}", ts.as_nanos()).as_bytes())
-            .expect("ts label");
-        name
+        // Only an oversized keyword can overflow the buffer.
+        const FITS: &str = "probe name fits 255 bytes";
+        let mut buf = [0u8; MAX_NAME_WIRE_LEN];
+        let mut w = io::Cursor::new(&mut buf[..]);
+        for text in [
+            format_args!("t{}", ts.as_nanos()),
+            format_args!("s{}", DashedAddr(src)),
+            format_args!("d{}", DashedAddr(dst)),
+            format_args!("a{asn}"),
+            format_args!("{}", self.kw),
+        ] {
+            // The length byte is patched in once the text is written.
+            let at = w.position() as usize;
+            w.write_all(&[0])
+                .and_then(|()| w.write_fmt(text))
+                .expect(FITS);
+            w.get_mut()[at] = (w.position() as usize - at - 1) as u8;
+        }
+        w.write_all(self.suffix_apex(suffix).wire_labels())
+            .expect(FITS);
+        let len = w.position() as usize;
+        Name::from_wire_labels(&buf[..len]).expect("probe labels are valid")
     }
 
     /// Decode an observed query name.
@@ -177,35 +202,38 @@ impl QnameCodec {
                 labels: extra,
             };
         }
-        // Labels, leftmost first: ts, src, dst, asn, kw, (apex...).
-        let labels: Vec<&[u8]> = name.labels().collect();
-        let parse = || -> Option<ExperimentTag> {
-            let skip = extra - 5; // tolerate junk labels prepended by others
-            let ts_label = std::str::from_utf8(labels[skip]).ok()?;
-            let ts = SimTime::from_nanos(ts_label.strip_prefix('t')?.parse().ok()?);
-            let src = decode_addr(labels[skip + 1])?;
-            let dst = decode_addr(labels[skip + 2])?;
-            let asn_label = std::str::from_utf8(labels[skip + 3]).ok()?;
-            let asn: u32 = asn_label.strip_prefix('a')?.parse().ok()?;
-            let kw = std::str::from_utf8(labels[skip + 4]).ok()?;
-            if !kw.eq_ignore_ascii_case(&self.kw) {
-                return None;
-            }
-            Some(ExperimentTag {
-                ts,
-                src,
-                dst,
-                asn,
-                suffix,
-            })
-        };
-        match parse() {
+        // Labels, leftmost first: ts, src, dst, asn, kw, (apex...); junk
+        // labels prepended by others are tolerated.
+        let labels = name.labels().skip(extra - 5);
+        match self.parse_tag(labels, suffix) {
             Some(tag) => Decoded::Full(tag),
             None => Decoded::Partial {
                 suffix,
                 labels: extra,
             },
         }
+    }
+
+    fn parse_tag<'a>(
+        &self,
+        labels: impl Iterator<Item = &'a [u8]>,
+        suffix: SuffixKind,
+    ) -> Option<ExperimentTag> {
+        let mut labels = labels.map(std::str::from_utf8);
+        let mut next = || labels.next()?.ok();
+        let ts = SimTime::from_nanos(next()?.strip_prefix('t')?.parse().ok()?);
+        let src = decode_addr(next()?)?;
+        let dst = decode_addr(next()?)?;
+        let asn = next()?.strip_prefix('a')?.parse().ok()?;
+        next()?
+            .eq_ignore_ascii_case(&self.kw)
+            .then_some(ExperimentTag {
+                ts,
+                src,
+                dst,
+                asn,
+                suffix,
+            })
     }
 }
 

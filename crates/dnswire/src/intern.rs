@@ -1,7 +1,7 @@
 //! Name interning: a shared arena mapping case-folded names to dense ids.
 //!
-//! A [`Name`] owns one heap `Vec` per label; structures that key maps by
-//! `Name` (resolver caches, zone-cut tables) pay that allocation — and the
+//! A [`Name`] owns one heap buffer; structures that key maps by `Name`
+//! (resolver caches, zone-cut tables) pay that allocation — and the
 //! per-label case-folding hash — on every insert *and* every probe. At
 //! Internet scale (millions of resolver caches) that is the dominant DNS-
 //! side cost. A [`NameArena`] stores each distinct name once and hands out

@@ -40,126 +40,189 @@ impl fmt::Display for NameError {
 impl std::error::Error for NameError {}
 
 /// A domain name: zero or more labels, root last (implicit).
+///
+/// The labels live in one exact-size buffer in their uncompressed wire
+/// form without the root byte (`[len][bytes][len][bytes]…`), so cloning,
+/// decoding or deriving a name costs one allocation and the root none.
+/// Length bytes are 1..=63, which ASCII case folding leaves alone, so a
+/// case-insensitive comparison of two buffers compares both labels and
+/// label boundaries.
 #[derive(Debug, Clone, Eq)]
 pub struct Name {
-    labels: Vec<Vec<u8>>,
+    flat: Box<[u8]>,
+    count: u8,
+}
+
+fn check_label(l: &[u8]) -> Result<(), NameError> {
+    if l.is_empty() || l.len() > MAX_LABEL_LEN {
+        return Err(NameError::BadLabel(String::from_utf8_lossy(l).into_owned()));
+    }
+    Ok(())
 }
 
 impl Name {
-    /// The root name (zero labels).
-    pub fn root() -> Name {
-        Name { labels: Vec::new() }
+    /// A name over wire-form labels already checked to be valid.
+    fn from_valid(flat: &[u8], count: usize) -> Name {
+        Name {
+            flat: flat.into(),
+            count: count as u8,
+        }
     }
 
-    /// Build from label byte strings, validating lengths.
+    /// The root name (zero labels).
+    pub fn root() -> Name {
+        Name::from_valid(&[], 0)
+    }
+
+    /// Build from label byte strings, validating lengths. Every label is
+    /// checked before the total length, so a bad label wins over
+    /// [`NameError::TooLong`].
     pub fn from_labels<I, L>(labels: I) -> Result<Name, NameError>
     where
         I: IntoIterator<Item = L>,
         L: AsRef<[u8]>,
     {
-        let mut out = Vec::new();
+        let mut buf = [0u8; MAX_NAME_WIRE_LEN];
+        let (mut len, mut count) = (0usize, 0usize);
         for l in labels {
             let l = l.as_ref();
-            if l.is_empty() || l.len() > MAX_LABEL_LEN {
-                return Err(NameError::BadLabel(String::from_utf8_lossy(l).into_owned()));
+            check_label(l)?;
+            let end = len + 1 + l.len();
+            if end <= buf.len() {
+                buf[len] = l.len() as u8;
+                buf[len + 1..end].copy_from_slice(l);
             }
-            out.push(l.to_vec());
+            len = end;
+            count += 1;
         }
-        let name = Name { labels: out };
-        if name.wire_len() > MAX_NAME_WIRE_LEN {
+        if len >= MAX_NAME_WIRE_LEN {
             return Err(NameError::TooLong);
         }
-        Ok(name)
+        Ok(Name::from_valid(&buf[..len], count))
+    }
+
+    /// Build from labels in uncompressed wire form without the root byte
+    /// (the layout [`wire_labels`](Self::wire_labels) returns), validating
+    /// like [`from_labels`](Self::from_labels).
+    pub fn from_wire_labels(flat: &[u8]) -> Result<Name, NameError> {
+        let (mut off, mut count) = (0usize, 0usize);
+        while off < flat.len() {
+            let end = off + 1 + flat[off] as usize;
+            let label = flat.get(off + 1..end).ok_or_else(|| {
+                NameError::BadLabel(String::from_utf8_lossy(&flat[off + 1..]).into_owned())
+            })?;
+            check_label(label)?;
+            off = end;
+            count += 1;
+        }
+        if flat.len() >= MAX_NAME_WIRE_LEN {
+            return Err(NameError::TooLong);
+        }
+        Ok(Name::from_valid(flat, count))
+    }
+
+    /// The labels in uncompressed wire form, each prefixed by its length,
+    /// without the terminating root byte.
+    pub fn wire_labels(&self) -> &[u8] {
+        &self.flat
     }
 
     /// Number of labels (root excluded).
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.count as usize
     }
 
     /// True for the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.count == 0
     }
 
     /// The labels, leftmost (most specific) first.
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
-        self.labels.iter().map(Vec::as_slice)
+        let mut rest = &self.flat[..];
+        std::iter::from_fn(move || {
+            let (&len, tail) = rest.split_first()?;
+            let (label, next) = tail.split_at(len as usize);
+            rest = next;
+            Some(label)
+        })
     }
 
     /// The leftmost label, if any.
     pub fn first_label(&self) -> Option<&[u8]> {
-        self.labels.first().map(Vec::as_slice)
+        self.labels().next()
     }
 
     /// Total encoded length without compression: each label costs `1 + len`,
     /// plus the terminating root byte.
     pub fn wire_len(&self) -> usize {
-        1 + self.labels.iter().map(|l| 1 + l.len()).sum::<usize>()
+        self.flat.len() + 1
+    }
+
+    /// Offset in the buffer of the label `skip` labels from the left.
+    fn label_offset(&self, skip: usize) -> usize {
+        (0..skip).fold(0, |off, _| off + 1 + self.flat[off] as usize)
     }
 
     /// The name with the leftmost label removed (`a.b.c` → `b.c`);
     /// root's parent is root.
     pub fn parent(&self) -> Name {
-        if self.labels.is_empty() {
-            Name::root()
-        } else {
-            Name {
-                labels: self.labels[1..].to_vec(),
-            }
-        }
+        self.suffix(self.label_count().saturating_sub(1))
     }
 
     /// The suffix keeping the rightmost `n` labels (`n = 0` → root).
     /// `n` larger than the label count returns the whole name.
     pub fn suffix(&self, n: usize) -> Name {
-        let keep = n.min(self.labels.len());
-        Name {
-            labels: self.labels[self.labels.len() - keep..].to_vec(),
-        }
+        let keep = n.min(self.label_count());
+        Name::from_valid(
+            &self.flat[self.label_offset(self.label_count() - keep)..],
+            keep,
+        )
     }
 
     /// Prepend a label (`child("www")` on `example.org` → `www.example.org`).
     pub fn child<L: AsRef<[u8]>>(&self, label: L) -> Result<Name, NameError> {
         let l = label.as_ref();
-        if l.is_empty() || l.len() > MAX_LABEL_LEN {
-            return Err(NameError::BadLabel(String::from_utf8_lossy(l).into_owned()));
-        }
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(l.to_vec());
-        labels.extend(self.labels.iter().cloned());
-        let name = Name { labels };
-        if name.wire_len() > MAX_NAME_WIRE_LEN {
+        check_label(l)?;
+        let len = 1 + l.len() + self.flat.len();
+        if len >= MAX_NAME_WIRE_LEN {
             return Err(NameError::TooLong);
         }
-        Ok(name)
+        let mut flat = Vec::with_capacity(len);
+        flat.push(l.len() as u8);
+        flat.extend_from_slice(l);
+        flat.extend_from_slice(&self.flat);
+        Ok(Name {
+            flat: flat.into_boxed_slice(),
+            count: self.count + 1,
+        })
     }
 
     /// True if `self` equals `other` or is a descendant of it
     /// (case-insensitive). Everything is under the root.
     pub fn is_subdomain_of(&self, other: &Name) -> bool {
-        if other.labels.len() > self.labels.len() {
-            return false;
+        match self.count.checked_sub(other.count) {
+            Some(skip) => {
+                self.flat[self.label_offset(skip as usize)..].eq_ignore_ascii_case(&other.flat)
+            }
+            None => false,
         }
-        let offset = self.labels.len() - other.labels.len();
-        self.labels[offset..]
-            .iter()
-            .zip(&other.labels)
-            .all(|(a, b)| eq_label(a, b))
+    }
+
+    /// The canonical form as a byte stream: lowercased labels, each
+    /// followed by a dot; the root is a single dot.
+    fn canonical(&self) -> impl Iterator<Item = u8> + '_ {
+        self.labels()
+            .flat_map(|l| l.iter().map(u8::to_ascii_lowercase).chain([b'.']))
+            .chain(self.is_root().then_some(b'.'))
     }
 
     /// Canonical (lowercased) representation used for compression-dictionary
     /// keys and hashing.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_len());
-        for l in &self.labels {
-            out.extend(l.iter().map(|b| b.to_ascii_lowercase()));
-            out.push(b'.');
-        }
-        if out.is_empty() {
-            out.push(b'.');
-        }
-        out
+        let mut buf = [0u8; MAX_NAME_WIRE_LEN];
+        let len = self.canonical_into(&mut buf);
+        buf[..len].to_vec()
     }
 
     /// Allocation-free [`canonical_bytes`](Self::canonical_bytes): writes
@@ -171,17 +234,9 @@ impl Name {
     /// of allocating a `Vec` per probe.
     pub fn canonical_into(&self, buf: &mut [u8; MAX_NAME_WIRE_LEN]) -> usize {
         let mut n = 0;
-        for l in &self.labels {
-            for &b in l {
-                buf[n] = b.to_ascii_lowercase();
-                n += 1;
-            }
-            buf[n] = b'.';
+        for b in self.canonical() {
+            buf[n] = b;
             n += 1;
-        }
-        if n == 0 {
-            buf[0] = b'.';
-            n = 1;
         }
         n
     }
@@ -218,16 +273,16 @@ impl Name {
         // is found among the already-written names, then emit a pointer.
         // Matching is done against the wire bytes in place, so this path
         // allocates nothing.
-        let n = self.labels.len();
-        for i in 0..n {
-            if let Some(off) = w.find_name(&self.labels[i..]) {
+        let mut rest = &self.flat[..];
+        while let Some(&len) = rest.first() {
+            if let Some(off) = w.find_name(rest) {
                 w.u16(0xC000 | off as u16);
                 return;
             }
             w.note_name_start(w.len());
-            let label = &self.labels[i];
-            w.u8(label.len() as u8);
+            let (label, next) = rest.split_at(1 + len as usize);
             w.bytes(label);
+            rest = next;
         }
         w.u8(0); // root
     }
@@ -235,10 +290,7 @@ impl Name {
     /// Encode without compression (for contexts where pointers are not
     /// allowed, e.g. inside SOA RDATA in some conservative encoders).
     pub fn encode_uncompressed(&self, w: &mut WireWriter) {
-        for label in &self.labels {
-            w.u8(label.len() as u8);
-            w.bytes(label);
-        }
+        w.bytes(&self.flat);
         w.u8(0);
     }
 
@@ -246,8 +298,8 @@ impl Name {
     /// position. The reader ends up just past the name's in-place bytes
     /// regardless of pointer following.
     pub fn decode(r: &mut WireReader<'_>) -> Result<Name, WireError> {
-        let mut labels = Vec::new();
-        let mut wire_len = 1usize; // terminating root byte
+        let mut flat = [0u8; MAX_NAME_WIRE_LEN];
+        let (mut len, mut count) = (0usize, 0usize);
         let mut hops = 0usize;
         // Position to restore after following pointers: set on first pointer.
         let mut resume: Option<usize> = None;
@@ -255,8 +307,8 @@ impl Name {
 
         loop {
             r.seek(pos)?;
-            let len = r.u8()?;
-            match len {
+            let l = r.u8()?;
+            match l {
                 0 => break,
                 l if l & 0xC0 == 0xC0 => {
                     let lo = r.u8()? as usize;
@@ -278,11 +330,15 @@ impl Name {
                 l if l & 0xC0 != 0 => return Err(WireError::BadLabel),
                 l => {
                     let bytes = r.bytes(l as usize)?;
-                    wire_len += 1 + l as usize;
-                    if wire_len > MAX_NAME_WIRE_LEN {
+                    let end = len + 1 + l as usize;
+                    // `end` plus the root byte is the wire length so far.
+                    if end >= MAX_NAME_WIRE_LEN {
                         return Err(WireError::NameTooLong);
                     }
-                    labels.push(bytes.to_vec());
+                    flat[len] = l;
+                    flat[len + 1..end].copy_from_slice(bytes);
+                    len = end;
+                    count += 1;
                     pos = r.pos();
                 }
             }
@@ -290,28 +346,19 @@ impl Name {
         if let Some(p) = resume {
             r.seek(p)?;
         }
-        Ok(Name { labels })
+        Ok(Name::from_valid(&flat[..len], count))
     }
-}
-
-fn eq_label(a: &[u8], b: &[u8]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.eq_ignore_ascii_case(y))
 }
 
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
-        self.labels.len() == other.labels.len()
-            && self
-                .labels
-                .iter()
-                .zip(&other.labels)
-                .all(|(a, b)| eq_label(a, b))
+        self.count == other.count && self.flat.eq_ignore_ascii_case(&other.flat)
     }
 }
 
 impl Hash for Name {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        for l in &self.labels {
+        for l in self.labels() {
             state.write_usize(l.len());
             for b in l {
                 state.write_u8(b.to_ascii_lowercase());
@@ -327,21 +374,19 @@ impl PartialOrd for Name {
 }
 
 impl Ord for Name {
-    /// Lexicographic over lowercased labels (not the DNSSEC canonical order;
-    /// sufficient for deterministic map iteration).
+    /// Lexicographic over the canonical bytes (not the DNSSEC canonical
+    /// order; sufficient for deterministic map iteration).
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let a = self.canonical_bytes();
-        let b = other.canonical_bytes();
-        a.cmp(&b)
+        self.canonical().cmp(other.canonical())
     }
 }
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
+        if self.is_root() {
             return f.write_str(".");
         }
-        for (i, l) in self.labels.iter().enumerate() {
+        for (i, l) in self.labels().enumerate() {
             if i > 0 {
                 f.write_str(".")?;
             }
@@ -430,6 +475,126 @@ mod tests {
         // 255-byte total cap: four 63-byte labels = 4*64+1 = 257 > 255.
         let l = [b'a'; 63];
         assert!(Name::from_labels([&l[..], &l[..], &l[..], &l[..]]).is_err());
+    }
+
+    #[test]
+    fn constructors_check_labels_before_total_length() {
+        let l63 = [b'a'; 63];
+        let long = [&l63[..], &l63[..], &l63[..], &l63[..]];
+        assert_eq!(Name::from_labels(long), Err(NameError::TooLong));
+        // A bad label anywhere wins over the overflow, even past the point
+        // where the name stopped fitting.
+        let with_empty = [&l63[..], &l63[..], &l63[..], &l63[..], b""];
+        assert_eq!(
+            Name::from_labels(with_empty),
+            Err(NameError::BadLabel(String::new()))
+        );
+        let l64 = [b'b'; 64];
+        let with_64 = [&l63[..], &l63[..], &l63[..], &l63[..], &l64[..]];
+        assert!(matches!(
+            Name::from_labels(with_64),
+            Err(NameError::BadLabel(_))
+        ));
+        let full = Name::from_labels([&l63[..], &l63[..], &l63[..], &[b'c'; 61][..]]).unwrap();
+        assert_eq!(full.wire_len(), MAX_NAME_WIRE_LEN);
+        assert!(matches!(full.child(""), Err(NameError::BadLabel(_))));
+        assert!(matches!(full.child(&l64[..]), Err(NameError::BadLabel(_))));
+        assert_eq!(full.child("x"), Err(NameError::TooLong));
+    }
+
+    #[test]
+    fn wire_length_boundary_is_255() {
+        let l63 = [b'a'; 63];
+        let three = [&l63[..], &l63[..], &l63[..]];
+        // (1 + 61) + 3 * 64 + root = 255 accepted; one more byte rejected.
+        let fits = Name::from_labels([&[b'z'; 61][..]].into_iter().chain(three)).unwrap();
+        assert_eq!(fits.wire_len(), 255);
+        assert_eq!(
+            Name::from_labels([&[b'z'; 62][..]].into_iter().chain(three)),
+            Err(NameError::TooLong)
+        );
+        let base = Name::from_labels(three).unwrap();
+        assert_eq!(base.child([b'z'; 61]).unwrap(), fits);
+        assert_eq!(base.child([b'z'; 62]), Err(NameError::TooLong));
+        assert_eq!(Name::from_wire_labels(fits.wire_labels()).unwrap(), fits);
+        let mut over = fits.wire_labels().to_vec();
+        over.extend_from_slice(&[1, b'q']);
+        assert_eq!(Name::from_wire_labels(&over), Err(NameError::TooLong));
+    }
+
+    #[test]
+    fn label_length_boundary_is_63() {
+        let root = Name::root();
+        assert_eq!(root.child([b'x'; 63]).unwrap().wire_len(), 65);
+        assert!(matches!(
+            root.child([b'x'; 64]),
+            Err(NameError::BadLabel(_))
+        ));
+        let mut wire = vec![63];
+        wire.extend_from_slice(&[b'x'; 63]);
+        assert!(Name::from_wire_labels(&wire).is_ok());
+        wire[0] = 64;
+        wire.push(b'x');
+        assert!(matches!(
+            Name::from_wire_labels(&wire),
+            Err(NameError::BadLabel(_))
+        ));
+        // Zero-length and truncated labels are malformed too.
+        assert!(matches!(
+            Name::from_wire_labels(&[0]),
+            Err(NameError::BadLabel(_))
+        ));
+        assert!(matches!(
+            Name::from_wire_labels(&[3, b'a']),
+            Err(NameError::BadLabel(_))
+        ));
+    }
+
+    #[test]
+    fn root_in_every_constructor() {
+        let root = Name::root();
+        assert_eq!(Name::from_labels(Vec::<&[u8]>::new()).unwrap(), root);
+        assert_eq!(Name::from_wire_labels(&[]).unwrap(), root);
+        assert_eq!(root.wire_len(), 1);
+        assert_eq!(root.wire_labels(), b"");
+        assert_eq!(root.first_label(), None);
+        assert_eq!(root.suffix(3), root);
+        assert_eq!(root.canonical_bytes(), b".");
+        assert_eq!(root.child("org").unwrap(), n("org"));
+        assert_eq!(n("org").parent(), root);
+        let mut w = WireWriter::new();
+        root.encode(&mut w);
+        root.encode_uncompressed(&mut w);
+        let buf = w.into_bytes();
+        assert_eq!(buf, [0, 0]);
+        assert_eq!(Name::decode(&mut WireReader::new(&buf)).unwrap(), root);
+    }
+
+    #[test]
+    fn decode_bounds_names_assembled_through_pointers() {
+        // Offset 0: three 63-byte labels and the root (wire length 193).
+        let mut buf = Vec::new();
+        for _ in 0..3 {
+            buf.push(63);
+            buf.extend_from_slice(&[b'a'; 63]);
+        }
+        buf.push(0);
+        let head = |len: usize, buf: &mut Vec<u8>| {
+            let at = buf.len();
+            buf.push(len as u8);
+            buf.extend(std::iter::repeat_n(b'b', len));
+            buf.extend_from_slice(&[0xC0, 0x00]);
+            at
+        };
+        // A 61-byte label in front makes exactly 255 bytes; 62 makes 256.
+        let fits = head(61, &mut buf);
+        let over = head(62, &mut buf);
+        let mut r = WireReader::new(&buf);
+        r.seek(fits).unwrap();
+        assert_eq!(Name::decode(&mut r).unwrap().wire_len(), 255);
+        assert_eq!(r.pos(), over);
+        r.seek(over).unwrap();
+        assert_eq!(Name::decode(&mut r), Err(WireError::NameTooLong));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! header fields (and occasionally the QNAME) of a packet, and — when
 //! forwarding — only rewrite the transaction ID and RD bit. Fully
 //! decoding a [`Message`](crate::Message) there costs one heap
-//! allocation per label plus one per section; [`MessageView`] reads the
+//! allocation per name plus one per section; [`MessageView`] reads the
 //! same fields straight out of the wire bytes and patches forwarded
 //! copies in place, which is byte-identical to decode → modify →
 //! re-encode for any message our own encoder produced.

@@ -202,11 +202,14 @@ impl WireWriter {
         }
     }
 
-    /// Look up a compression target for a label sequence: the offset of
-    /// the first already-written name whose labels (following any
-    /// compression pointers it ends in) equal `labels` case-insensitively
-    /// and terminate at the root.
-    pub fn find_name(&self, labels: &[Vec<u8>]) -> Option<usize> {
+    /// Look up a compression target for a label sequence in uncompressed
+    /// wire form without the root byte (as [`Name::wire_labels`] returns):
+    /// the offset of the first already-written name whose labels
+    /// (following any compression pointers it ends in) equal `labels`
+    /// case-insensitively and terminate at the root.
+    ///
+    /// [`Name::wire_labels`]: crate::Name::wire_labels
+    pub fn find_name(&self, labels: &[u8]) -> Option<usize> {
         'starts: for &start in &self.name_starts {
             let mut pos = start as usize;
             let mut hops = 0usize;
@@ -233,18 +236,20 @@ impl WireWriter {
                     // Reserved label type: never written by this writer.
                     continue 'starts;
                 } else {
-                    if i >= labels.len() {
+                    if labels.get(i) != Some(&len) {
                         continue 'starts;
                     }
-                    let end = pos + 1 + len as usize;
-                    let Some(wire) = self.buf.get(pos + 1..end) else {
+                    let n = 1 + len as usize;
+                    let (Some(wire), Some(want)) =
+                        (self.buf.get(pos + 1..pos + n), labels.get(i + 1..i + n))
+                    else {
                         continue 'starts;
                     };
-                    if !wire.eq_ignore_ascii_case(&labels[i]) {
+                    if !wire.eq_ignore_ascii_case(want) {
                         continue 'starts;
                     }
-                    i += 1;
-                    pos = end;
+                    i += n;
+                    pos += n;
                 }
             }
         }
@@ -314,8 +319,12 @@ mod tests {
         assert_eq!(w.into_bytes(), vec![0x12, 0x34]);
     }
 
-    fn labels(parts: &[&str]) -> Vec<Vec<u8>> {
-        parts.iter().map(|p| p.as_bytes().to_vec()).collect()
+    /// Labels in the flat wire form `find_name` takes.
+    fn labels(parts: &[&str]) -> Vec<u8> {
+        parts
+            .iter()
+            .flat_map(|p| std::iter::once(p.len() as u8).chain(p.bytes()))
+            .collect()
     }
 
     #[test]
