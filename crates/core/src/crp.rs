@@ -14,9 +14,10 @@
 //! so the two can be cross-validated AS by AS
 //! ([`crate::analysis::agreement`]):
 //!
-//! * **Shared stimuli** — the CRP pass reuses the experiment's streaming
-//!   schedule machinery with the *same* seed-derived schedule salt, filtered
-//!   to the internal source categories ([`CRP_CATEGORIES`]). Per-target
+//! * **Shared stimuli** — the CRP pass runs through the experiment's
+//!   probe-pass driver (`pass.rs`): the same streaming schedule machinery
+//!   with the *same* seed-derived schedule salt, filtered to the internal
+//!   source categories ([`CRP_CATEGORIES`]). Per-target
 //!   source plans are hashes of the canonical target bytes
 //!   ([`crate::sources::SourcePlan::build_deterministic`]), so both methods
 //!   probe byte-identical `(src, dst)` pairs and the CRP pass is itself
@@ -29,23 +30,22 @@
 //!   ([`crp_keyword`]), so a CRP log entry can never decode as a method-A
 //!   probe or vice versa.
 
-use crate::experiment::{run_pool, ExperimentConfig, SCHEDULE_SALT_STREAM};
-use crate::hash::{fnv1a, FNV_OFFSET};
+use crate::experiment::ExperimentConfig;
+use crate::pass::ProbePass;
 use crate::qname::{QnameCodec, SuffixKind};
-use crate::schedule::{self, LaneLayout, Schedule, ScheduleMode};
+use crate::scanner::{opted_out, outage_end, send_query, PROBE_TAG};
+use crate::schedule::Schedule;
 use crate::shard;
 use crate::sources::SourceCategory;
 use crate::targets::TargetSet;
 use bcd_dns::QueryLogEntry;
-use bcd_dnswire::{Message, MessageView, RType, WireWriter, MAX_NAME_WIRE_LEN};
+use bcd_dnswire::{MessageView, WireWriter};
 use bcd_netsim::{
-    stream_seed, HostConfig, Merge, NetCounters, Node, NodeCtx, Packet, SimDuration, SimTime,
-    StackPolicy, Transport,
+    stream_seed, Merge, NetCounters, Node, NodeCtx, Packet, SimDuration, SimTime, Transport,
 };
-use bcd_obs::{Det, ObsEnv};
-use bcd_worldgen::{World, WorldRuntime};
-use std::net::IpAddr;
-use std::sync::{Arc, Mutex};
+use bcd_obs::{Det, ObsEnv, RunProfile};
+use bcd_worldgen::World;
+use std::sync::Arc;
 
 /// RNG stream id for the CRP scanner's packet-identity salt (txid/sport
 /// derivation). Distinct from the experiment's noise stream so the two
@@ -125,47 +125,9 @@ impl CrpScanner {
         }
     }
 
-    /// Mirror of the experiment scanner's packet-identity derivation: port
-    /// and txid are hashes of the qname (which encodes the probe identity),
-    /// never of RNG stream position, so every packet byte is layout-free.
-    fn send_dns(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        src: IpAddr,
-        dst: IpAddr,
-        qname: bcd_dnswire::Name,
-    ) {
-        let mut canon = [0u8; MAX_NAME_WIRE_LEN];
-        let n = qname.canonical_into(&mut canon);
-        let mut h = FNV_OFFSET;
-        fnv1a(&mut h, &self.cfg.noise_salt.to_le_bytes());
-        fnv1a(&mut h, &canon[..n]);
-        fnv1a(&mut h, b"probe");
-        let txid = (h >> 32) as u16;
-        let sport = 20_000 + (h % 40_000) as u16;
-        let trace = if ctx.tracing() {
-            ctx.sample_trace(std::str::from_utf8(&canon[..n]).unwrap_or("."))
-        } else {
-            0
-        };
-        let msg = Message::query(txid, qname, RType::A);
-        msg.encode_into(&mut self.scratch);
-        ctx.send(Packet::udp(src, dst, sport, 53, self.scratch.as_bytes()).with_trace(trace));
-    }
-
-    /// If `now` falls inside a configured outage, the time it ends.
-    fn outage_end(&self, now: SimTime) -> Option<SimTime> {
-        self.cfg
-            .outages
-            .iter()
-            .filter(|(start, len)| now >= *start && now < *start + *len)
-            .map(|(start, len)| *start + *len)
-            .max()
-    }
-
     fn emit_scheduled(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
-        if let Some(end) = self.outage_end(now) {
+        if let Some(end) = outage_end(&self.cfg.outages, now) {
             self.stats.outage_deferrals += 1;
             ctx.set_timer(end - now, TOK_WALK);
             return;
@@ -183,12 +145,7 @@ impl CrpScanner {
                 .targets
                 .get(self.cfg.schedule.target_index(i) as usize);
             let source = self.cfg.schedule.source(i, t.addr.is_ipv6());
-            if self
-                .cfg
-                .opt_outs
-                .iter()
-                .any(|(when, p)| now >= *when && p.contains(t.addr))
-            {
+            if opted_out(&self.cfg.opt_outs, now, t.addr) {
                 self.stats.opted_out += 1;
                 continue;
             }
@@ -197,7 +154,16 @@ impl CrpScanner {
                 .codec
                 .encode(now, source, t.addr, t.asn.0, SuffixKind::Main);
             self.stats.probes_sent += 1;
-            self.send_dns(ctx, source, t.addr, qname);
+            let salt = self.cfg.noise_salt;
+            send_query(
+                ctx,
+                &mut self.scratch,
+                salt,
+                PROBE_TAG,
+                source,
+                t.addr,
+                qname,
+            );
         }
     }
 }
@@ -243,6 +209,9 @@ pub struct CrpData {
     pub pending_deliveries: u64,
     /// Total probes the CRP schedule carried (census total).
     pub scheduled_probes: u64,
+    /// The pass's per-shard phases (`crp-shard-spawn`, `crp-shard-run`,
+    /// `crp-shard-extract`); [`run_dual`] nests them under `crp-run`.
+    pub profile: RunProfile,
 }
 
 /// Run the inbound-SAV scan over an already-built world and target set —
@@ -250,173 +219,42 @@ pub struct CrpData {
 /// planning artifact. Deterministic contract: byte-identical output for
 /// any `cfg.shards` / `cfg.workers` / `cfg.schedule_mode`.
 pub fn run_crp(cfg: &ExperimentConfig, world: &Arc<World>, targets: &Arc<TargetSet>) -> CrpData {
-    let sched_salt = stream_seed(cfg.world.seed, SCHEDULE_SALT_STREAM);
-    let lanes = schedule::lane_count(cfg.rate);
-    let filter = Some(&CRP_CATEGORIES[..]);
-    let census = schedule::census(
-        targets,
-        world.topo.routes(),
-        &world.v6_hitlist,
-        filter,
-        lanes,
-        sched_salt,
-        cfg.target_sample,
-    );
-    let layout = LaneLayout::new(
-        cfg.rate,
-        cfg.window,
-        census.total,
-        sched_salt,
-        cfg.target_sample,
-    );
-    let (lane_shard, shards) = shard::assign_lanes(&census.lane_counts, cfg.shards.max(1));
-    let n_workers = if cfg.workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        cfg.workers
-    }
-    .clamp(1, shards);
-
-    let parts: Vec<Schedule> = match cfg.schedule_mode {
-        ScheduleMode::Streaming => {
-            let build = |sid: usize| {
-                Schedule::build_lanes(
-                    targets,
-                    world.topo.routes(),
-                    &world.v6_hitlist,
-                    filter,
-                    &shard::lanes_of_shard(&lane_shard, sid),
-                    &census,
-                    &layout,
-                )
-            };
-            run_pool(n_workers, shards, build)
-        }
-        ScheduleMode::Global => {
-            let global = Schedule::build_global(
-                targets,
-                world.topo.routes(),
-                &world.v6_hitlist,
-                filter,
-                &census,
-                &layout,
-            );
-            global.partition_by_lane(targets, &lane_shard, shards)
-        }
-    };
-    debug_assert_eq!(
-        parts.iter().map(|p| p.len() as u64).sum::<u64>(),
-        census.total
-    );
-    let sched_end = parts.iter().map(|p| p.end).max().unwrap_or(SimTime::ZERO);
-    let outage_total = cfg
-        .outages
-        .iter()
-        .fold(SimDuration::ZERO, |acc, (_, len)| acc + *len);
-    let run_until = sched_end + outage_total + cfg.drain;
-
-    let keyword = crp_keyword(&cfg.keyword);
-    let parts: Vec<Mutex<Option<Schedule>>> =
-        parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    let outcomes = run_pool(n_workers, shards, |sid| {
-        let part = parts[sid]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("CRP shard partition claimed twice");
-        run_crp_shard(world, cfg, &keyword, sid, part, targets, run_until)
-    });
-
-    // Deterministic merge in shard-id order: concatenate the pre-sorted
-    // per-shard streams and re-establish the canonical order (the CRP log
-    // is small — internal categories only — so a full sort is cheap).
-    let mut entries = Vec::new();
-    let mut stats = CrpStats::default();
-    let mut counters = NetCounters::default();
-    let mut events = 0u64;
-    let mut budget_exhausted = false;
-    let mut pending_deliveries = 0u64;
-    for o in outcomes {
-        entries.extend(o.entries);
-        stats.merge(o.stats);
-        counters.merge(o.counters);
-        events += o.events;
-        budget_exhausted |= o.budget_exhausted;
-        pending_deliveries += o.pending_deliveries;
-    }
-    shard::canonical_sort(&mut entries);
-
-    CrpData {
-        codec: QnameCodec::new(&world.auth.apex, &keyword),
-        entries,
-        stats,
-        counters,
-        events,
-        budget_exhausted,
-        pending_deliveries,
-        scheduled_probes: census.total,
-    }
-}
-
-struct CrpShardOutcome {
-    entries: Vec<QueryLogEntry>,
-    stats: CrpStats,
-    counters: NetCounters,
-    events: u64,
-    budget_exhausted: bool,
-    pending_deliveries: u64,
-}
-
-fn run_crp_shard(
-    world: &Arc<World>,
-    cfg: &ExperimentConfig,
-    keyword: &str,
-    shard_id: usize,
-    schedule: Schedule,
-    targets: &Arc<TargetSet>,
-    run_until: SimTime,
-) -> CrpShardOutcome {
-    let owned: std::collections::HashSet<bcd_netsim::Asn> = (0..schedule.len())
-        .map(|i| targets.get(schedule.target_index(i) as usize).asn)
-        .collect();
-    let mut wrt: WorldRuntime = world.spawn_for(Some(&owned));
-    let scanner_cfg = CrpScannerConfig {
-        codec: QnameCodec::new(&world.auth.apex, keyword),
-        schedule,
-        targets: targets.clone(),
-        noise_salt: stream_seed(cfg.world.seed, CRP_NOISE_STREAM),
-        opt_outs: cfg.opt_outs.clone(),
-        outages: cfg.outages.clone(),
-    };
-    let scanner_host = wrt.net.add_host(
-        HostConfig {
-            addrs: vec![world.scanner.v4, world.scanner.v6],
-            asn: world.scanner.asn,
-            stack: StackPolicy::strict(),
+    let mut pass = ProbePass::plan(cfg, world, targets, Some(&CRP_CATEGORIES));
+    pass.build();
+    let codec = QnameCodec::new(&world.auth.apex, &crp_keyword(&cfg.keyword));
+    let noise_salt = stream_seed(cfg.world.seed, CRP_NOISE_STREAM);
+    let mut profile = RunProfile::new();
+    let outcomes = pass.run(
+        "crp-shard",
+        CRP_SHARD_NOISE_STREAM,
+        None,
+        &mut profile,
+        |_, _, schedule| {
+            Box::new(CrpScanner::new(CrpScannerConfig {
+                codec: codec.clone(),
+                schedule,
+                targets: targets.clone(),
+                noise_salt,
+                opt_outs: cfg.opt_outs.clone(),
+                outages: cfg.outages.clone(),
+            }))
         },
-        Box::new(CrpScanner::new(scanner_cfg)),
+        |wrt, host| {
+            let scanner = wrt.net.node::<CrpScanner>(host);
+            scanner.expect("CRP scanner node").stats.clone()
+        },
     );
-    wrt.net.reseed_noise(stream_seed(
-        cfg.world.seed,
-        CRP_SHARD_NOISE_STREAM ^ shard_id as u64,
-    ));
-    wrt.net.run_until(run_until);
-
-    let mut entries = wrt.log.borrow().entries().to_vec();
-    shard::canonical_sort(&mut entries);
-    let scanner = wrt
-        .net
-        .node::<CrpScanner>(scanner_host)
-        .expect("CRP scanner node");
-    CrpShardOutcome {
-        entries,
-        stats: scanner.stats.clone(),
-        counters: wrt.net.counters.clone(),
-        events: wrt.net.events_processed(),
-        budget_exhausted: wrt.net.budget_exhausted,
-        pending_deliveries: wrt.net.pending_deliveries(),
+    let merged = shard::merge_outcomes(outcomes);
+    CrpData {
+        codec,
+        entries: merged.entries,
+        stats: merged.extract,
+        counters: merged.counters,
+        events: merged.events,
+        budget_exhausted: merged.budget_exhausted,
+        pending_deliveries: merged.pending_deliveries,
+        scheduled_probes: pass.census.total,
+        profile,
     }
 }
 
@@ -445,6 +283,10 @@ pub fn run_dual(cfg: ExperimentConfig, env: &ObsEnv) -> DualRun {
     let mut a = crate::experiment::Experiment::run_observed(cfg, &quiet);
     let t0 = std::time::Instant::now();
     let b = run_crp(&a.cfg, &a.world, &a.targets);
+    a.obs
+        .profile
+        .phases
+        .extend(b.profile.phases.iter().cloned());
     a.obs.profile.record("crp-run", t0.elapsed());
     let t0 = std::time::Instant::now();
     let matrix = crate::analysis::agreement::AgreementMatrix::compute(&a, &b);

@@ -6,21 +6,20 @@
 //! analysis can be computed via [`ExperimentData::input`].
 
 use crate::observe;
+use crate::pass::ProbePass;
 use crate::qname::QnameCodec;
 use crate::scanner::{HumanNoise, Scanner, ScannerConfig, ScannerStats};
-use crate::schedule::{self, LaneLayout, Schedule, ScheduleMode};
-use crate::shard::{self, ShardOutcome};
+use crate::schedule::{self, ScheduleMode};
+use crate::shard::{self, ScanArtifacts};
 use crate::targets::TargetSet;
 use bcd_dns::QueryLogEntry;
 use bcd_dnswire::RCode;
-use bcd_netsim::{
-    stream_seed, FlightRecorder, HostConfig, NetCounters, SimDuration, SimTime, StackPolicy, Trace,
-};
+use bcd_netsim::{stream_seed, FlightRecorder, NetCounters, SimDuration, SimTime, Trace};
 use bcd_obs::report::names;
-use bcd_obs::{Det, ObsEnv, RunObservation, RunProfile, TraceConfig};
-use bcd_worldgen::{World, WorldConfig, WorldRuntime};
+use bcd_obs::{Det, ObsEnv, RunObservation, RunProfile};
+use bcd_worldgen::{World, WorldConfig};
 use std::net::IpAddr;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Experiment parameters (§3.4–§3.5 knobs).
@@ -188,55 +187,16 @@ const SHARD_NOISE_STREAM: u64 = 0x5348_4152_4400_0000; // "SHARD"
 /// (src, dst) pairs).
 pub(crate) const SCHEDULE_SALT_STREAM: u64 = 0x5343_4845_4455_4C45; // "SCHEDULE"
 
-/// Run `f(0..n)` on a work-stealing pool of `n_workers` threads (the
-/// calling thread is worker 0) and return the results in index order.
-/// Used for both parallel phases — per-shard schedule construction and the
-/// shard runs; claim order is scheduling-dependent, results are not.
-pub(crate) fn run_pool<T: Send>(
-    n_workers: usize,
-    n: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    {
-        let worker = || loop {
-            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            let out = f(i);
-            *slots[i].lock().unwrap() = Some(out);
-        };
-        std::thread::scope(|s| {
-            for wid in 1..n_workers.min(n.max(1)) {
-                std::thread::Builder::new()
-                    .name(format!("bcd-worker-{wid}"))
-                    .spawn_scoped(s, worker)
-                    .expect("spawn worker thread");
-            }
-            worker();
-        });
-    }
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("pool slot missing — worker panicked?")
-        })
-        .collect()
-}
-
 impl Experiment {
     /// Run the full methodology and return the collected data.
     ///
     /// With `cfg.shards > 1` the schedule is partitioned by destination AS
     /// (see [`crate::shard`]) and each shard runs on its own thread. The
     /// world is generated exactly once; every shard spawns a cheap
-    /// [`WorldRuntime`] over the same shared `Arc<Topology>`. Outcomes merge
-    /// deterministically, so the returned data — and everything rendered
-    /// from it — is byte-identical to a single-shard run.
+    /// [`bcd_worldgen::WorldRuntime`] over the same shared
+    /// `Arc<Topology>`. Outcomes merge deterministically, so the returned
+    /// data — and everything rendered from it — is byte-identical to a
+    /// single-shard run.
     pub fn run(cfg: ExperimentConfig) -> ExperimentData {
         Experiment::run_observed(cfg, &ObsEnv::from_env())
     }
@@ -279,139 +239,86 @@ impl Experiment {
         profile.record("target-extract", t0.elapsed());
         let targets = Arc::new(targets);
 
-        // §3.2 + §3.4 census: count every probe (per-target plan lengths,
-        // no RNG, no allocation) to fix the window extension, the lane
-        // occupancy and the lane → shard map before any schedule memory
-        // exists. Streaming and global constructors consume the same
-        // census, so they agree on the geometry by construction.
+        // Worldgen ran once; from here on the world is frozen and shared.
+        let world = Arc::new(world);
+
         announce("schedule-census");
         let t0 = Instant::now();
-        let sched_salt = stream_seed(cfg.world.seed, SCHEDULE_SALT_STREAM);
-        let lanes = schedule::lane_count(cfg.rate);
-        let filter = cfg.category_filter.as_deref();
-        let census = schedule::census(
-            &targets,
-            world.topo.routes(),
-            &world.v6_hitlist,
-            filter,
-            lanes,
-            sched_salt,
-            cfg.target_sample,
-        );
-        let layout = LaneLayout::new(
-            cfg.rate,
-            cfg.window,
-            census.total,
-            sched_salt,
-            cfg.target_sample,
-        );
-        let (lane_shard, shards) = shard::assign_lanes(&census.lane_counts, cfg.shards.max(1));
+        let mut pass = ProbePass::plan(&cfg, &world, &targets, cfg.category_filter.as_deref());
         profile.record("schedule-census", t0.elapsed());
 
         let codec = QnameCodec::new(&world.auth.apex, &cfg.keyword);
 
-        // Worldgen ran once; from here on the world is frozen and shared.
-        let world = Arc::new(world);
-
-        // §3.4: per-shard streaming schedule construction. Each shard
-        // derives only its own lanes' probes (plans and phases are hashes
-        // of the canonical target bytes) and smooths them under the lanes'
-        // own rate quotas — the global query vec is never materialized.
-        // `BCD_SCHEDULE=global` swaps in the legacy-shaped oracle, which
-        // *does* materialize it, then partitions along the same lane map;
-        // the two are byte-equal (tests/schedule_stream.rs).
         announce("schedule-build");
-        let n_workers = if cfg.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            cfg.workers
-        }
-        .clamp(1, shards);
         let t0 = Instant::now();
-        let parts: Vec<Schedule> = match cfg.schedule_mode {
-            ScheduleMode::Streaming => {
-                let build = |sid: usize| {
-                    Schedule::build_lanes(
-                        &targets,
-                        world.topo.routes(),
-                        &world.v6_hitlist,
-                        filter,
-                        &shard::lanes_of_shard(&lane_shard, sid),
-                        &census,
-                        &layout,
-                    )
-                };
-                run_pool(n_workers, shards, build)
-            }
-            ScheduleMode::Global => {
-                let global = Schedule::build_global(
-                    &targets,
-                    world.topo.routes(),
-                    &world.v6_hitlist,
-                    filter,
-                    &census,
-                    &layout,
-                );
-                global.partition_by_lane(&targets, &lane_shard, shards)
-            }
-        };
-        let total_probes: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        debug_assert_eq!(total_probes, census.total);
-        let sched_end = parts.iter().map(|p| p.end).max().unwrap_or(SimTime::ZERO);
+        pass.build();
         profile.record("schedule-build", t0.elapsed());
 
-        // Run the scan plus drain time (outages push the real end out, the
-        // paper's "longer than the four weeks we had planned"). All shards
-        // simulate the same horizon — the *global* schedule end, which is
-        // the max over the per-shard ends.
-        let outage_total = cfg
-            .outages
-            .iter()
-            .fold(SimDuration::ZERO, |acc, (_, len)| acc + *len);
-        let run_until = sched_end + outage_total + cfg.drain;
-
-        // Shards run on a work-stealing pool: each worker claims the next
-        // unstarted shard id from a shared counter, spawns its own runtime
-        // (fresh nodes + logs) over the shared topology, and parks the
-        // outcome in the shard's slot. Imbalanced destination-AS partitions
-        // therefore pack onto whatever cores exist instead of pinning one
-        // thread per shard. Claim order is scheduling-dependent, but each
-        // shard's simulation is self-contained and the merge below walks
-        // slots in shard-id order — output bytes depend only on `shards`.
+        // §3.3/§3.5: codec + scanner node at the reserved vantage in every
+        // shard (apex and keyword are seed-determined, so every shard
+        // encodes identically).
         announce("shard-run");
-        let progress = env.progress_every;
-        let trace_cfg = env.trace.clone();
-        let parts: Vec<Mutex<Option<Schedule>>> =
-            parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
-        let outcomes: Vec<ShardOutcome> = run_pool(n_workers, shards, |sid| {
-            let part = parts[sid]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("shard partition claimed twice");
-            run_shard(
-                &world,
-                &cfg,
-                sid,
-                part,
-                &targets,
-                run_until,
-                progress,
-                trace_cfg.as_ref(),
-            )
+        let human_noise = (cfg.world.human_lookup_fraction > 0.0).then(|| HumanNoise {
+            probability: cfg.world.human_lookup_fraction,
+            delay: SimDuration::from_secs(cfg.world.human_lookup_delay_secs),
         });
-        for (sid, o) in outcomes.iter().enumerate() {
-            profile.record_shard_phase("shard-spawn", sid, o.spawn_wall);
-            profile.record_shard("shard-run", sid, o.wall, run_until);
-            profile.record_shard_phase("shard-extract", sid, o.extract_wall);
-        }
+        let t0 = Instant::now();
+        let outcomes = pass.run(
+            "shard",
+            SHARD_NOISE_STREAM,
+            env.trace.as_ref(),
+            &mut profile,
+            |sid, wrt, schedule| {
+                Box::new(Scanner::new(ScannerConfig {
+                    v4: world.scanner.v4,
+                    v6: world.scanner.v6,
+                    codec: codec.clone(),
+                    schedule,
+                    targets: targets.clone(),
+                    topo: world.topo.clone(),
+                    poll_interval: cfg.poll_interval,
+                    log: wrt.log.clone(),
+                    followups_per_family: cfg.followups_per_family,
+                    lab_v4: world.auth.lab_v4,
+                    lab_v6: world.auth.lab_v6,
+                    human_noise,
+                    noise_salt: stream_seed(cfg.world.seed, NOISE_SALT_STREAM),
+                    opt_outs: cfg.opt_outs.clone(),
+                    outages: cfg.outages.clone(),
+                    progress: env.progress_every.map(|every| (every, sid)),
+                }))
+            },
+            |wrt, host| {
+                let scanner = wrt.net.node_mut::<Scanner>(host).expect("scanner node");
+                let scanner_stats = scanner.stats.clone();
+                let mut responses = std::mem::take(&mut scanner.responses);
+                responses.sort_by_key(|r| (r.0, r.1));
+                let dns = observe::dns_totals(&wrt.net);
+                let trace = wrt.net.trace.take();
+                let metrics = observe::shard_registry(
+                    &wrt.net.counters,
+                    wrt.net.events_processed(),
+                    &dns,
+                    &scanner_stats,
+                    trace.as_ref(),
+                );
+                ScanArtifacts {
+                    scanner_stats,
+                    responses,
+                    dns,
+                    metrics,
+                    trace,
+                    flight: wrt.net.take_flight(),
+                }
+            },
+        );
+        profile.record("shard-pool", t0.elapsed());
         let per_shard: Vec<bcd_obs::MetricsRegistry> =
-            outcomes.iter().map(|o| o.metrics.clone()).collect();
+            outcomes.iter().map(|o| o.extract.metrics.clone()).collect();
         announce("merge");
         let t0 = Instant::now();
         let merged = shard::merge_outcomes(outcomes);
+        let scan = merged.extract;
         profile.record("merge", t0.elapsed());
 
         // Deterministic aggregate from the *merged* artifacts; the fold of
@@ -421,38 +328,38 @@ impl Experiment {
         let loss_free = cfg.world.link_loss == 0.0 && cfg.world.chaos.is_none();
         let mut aggregate = observe::stable_aggregate(
             &merged.entries,
-            &merged.scanner_stats,
-            &merged.responses,
-            &merged.dns,
+            &scan.scanner_stats,
+            &scan.responses,
+            &scan.dns,
             &world,
             &targets,
             loss_free.then_some(&merged.counters),
         );
         // Schedule-construction accounting: probe totals and lane geometry
         // are pure functions of (seed, population, rate) — fully stable.
-        aggregate.add_counter(names::SCHEDULE_PROBES, &[], Det::Stable, total_probes);
+        aggregate.add_counter(names::SCHEDULE_PROBES, &[], Det::Stable, pass.census.total);
         aggregate.add_counter(
             names::SCHEDULE_TARGETS,
             &[],
             Det::Stable,
-            census.sampled_targets,
+            pass.census.sampled_targets,
         );
         aggregate.add_counter(
             names::SCHEDULE_LANES,
             &[],
             Det::Stable,
-            census.occupied_lanes() as u64,
+            pass.census.occupied_lanes() as u64,
         );
         aggregate.add_counter(
             names::SCHEDULE_END_SECS,
             &[],
             Det::Stable,
-            sched_end.as_secs(),
+            pass.sched_end.as_secs(),
         );
         // Run-level bounded-window accounting, claimed from the *merged*
         // artifacts before the per-shard fold so the folded sums (which
         // double-count per-shard warmup capture) cannot shadow them.
-        if let Some(t) = &merged.trace {
+        if let Some(t) = &scan.trace {
             aggregate.add_counter(names::TRACE_CAPTURED, &[], Det::Layout, t.len() as u64);
             aggregate.add_counter(names::TRACE_EVICTED, &[], Det::Layout, t.evicted);
         }
@@ -460,17 +367,17 @@ impl Experiment {
         // eviction; warmup is never traced) — but span *details* include
         // fault fates, so they only enter the deterministic surface when no
         // stochastic link faults ran.
-        if let Some(f) = &merged.flight {
+        if let Some(f) = &scan.flight {
             let det = if loss_free { Det::Stable } else { Det::Layout };
             aggregate.add_counter(names::SPAN_RECORDED, &[], det, f.recorded());
             aggregate.add_counter(names::SPAN_RETAINED, &[], det, f.len() as u64);
             aggregate.add_counter(names::SPAN_EVICTED, &[], det, f.evicted());
             aggregate.add_counter(names::SPAN_TRACES, &[], det, f.traces().len() as u64);
         }
-        aggregate.absorb_new(&merged.metrics);
+        aggregate.absorb_new(&scan.metrics);
         let obs = RunObservation {
             seed: cfg.world.seed,
-            shards,
+            shards: pass.shards,
             profile,
             aggregate,
             per_shard,
@@ -481,7 +388,7 @@ impl Experiment {
             }
         }
         if let (Some(flight), Some(path)) = (
-            &merged.flight,
+            &scan.flight,
             env.trace.as_ref().and_then(|t| t.chrome_out.as_ref()),
         ) {
             let json = bcd_obs::chrome_trace_json(flight, &obs.profile);
@@ -510,138 +417,17 @@ impl Experiment {
             targets,
             codec,
             entries: merged.entries,
-            scanner_stats: merged.scanner_stats,
-            scanner_responses: merged.responses,
+            scanner_stats: scan.scanner_stats,
+            scanner_responses: scan.responses,
             public_dns,
             events: merged.events,
             counters: merged.counters,
             budget_exhausted: merged.budget_exhausted,
             pending_deliveries: merged.pending_deliveries,
-            trace: merged.trace,
-            flight: merged.flight,
+            trace: scan.trace,
+            flight: scan.flight,
             obs,
             cfg,
         }
-    }
-}
-
-/// Spawn a fresh runtime over the shared world, run one shard's slice of
-/// the schedule to completion, and collect its `Send`-able outcome.
-/// §3.3/§3.5: codec + scanner node at the reserved vantage (the codec is
-/// rebuilt per shard; apex and keyword are seed-determined, so every shard
-/// encodes identically).
-#[allow(clippy::too_many_arguments)]
-fn run_shard(
-    world: &Arc<World>,
-    cfg: &ExperimentConfig,
-    shard_id: usize,
-    schedule: Schedule,
-    targets: &Arc<TargetSet>,
-    run_until: SimTime,
-    progress: Option<u64>,
-    trace_cfg: Option<&TraceConfig>,
-) -> ShardOutcome {
-    let wall_start = Instant::now();
-    // Lazy spawn: this shard's schedule names every destination AS it will
-    // ever touch, so hosts elsewhere (other shards' measured ASes) are
-    // spawned as sinks. Infra/public-DNS/scanner ASes are always live —
-    // `spawn_for` adds them unconditionally.
-    let owned: std::collections::HashSet<bcd_netsim::Asn> = (0..schedule.len())
-        .map(|i| targets.get(schedule.target_index(i) as usize).asn)
-        .collect();
-    let mut wrt: WorldRuntime = world.spawn_for(Some(&owned));
-    let codec = QnameCodec::new(&world.auth.apex, &cfg.keyword);
-    let human_noise = if cfg.world.human_lookup_fraction > 0.0 {
-        Some(HumanNoise {
-            probability: cfg.world.human_lookup_fraction,
-            delay: SimDuration::from_secs(cfg.world.human_lookup_delay_secs),
-        })
-    } else {
-        None
-    };
-    let scanner_cfg = ScannerConfig {
-        v4: world.scanner.v4,
-        v6: world.scanner.v6,
-        codec,
-        schedule,
-        targets: targets.clone(),
-        topo: world.topo.clone(),
-        poll_interval: cfg.poll_interval,
-        log: wrt.log.clone(),
-        followups_per_family: cfg.followups_per_family,
-        lab_v4: world.auth.lab_v4,
-        lab_v6: world.auth.lab_v6,
-        human_noise,
-        noise_salt: stream_seed(cfg.world.seed, NOISE_SALT_STREAM),
-        opt_outs: cfg.opt_outs.clone(),
-        outages: cfg.outages.clone(),
-        progress: progress.map(|every| (every, shard_id)),
-    };
-    // The scanner is a runtime-local host: it rides on top of the shared
-    // topology (same host id and RNG stream in every shard) without
-    // mutating it.
-    let scanner_host = wrt.net.add_host(
-        HostConfig {
-            addrs: vec![world.scanner.v4, world.scanner.v6],
-            asn: world.scanner.asn,
-            stack: StackPolicy::strict(),
-        },
-        Box::new(Scanner::new(scanner_cfg)),
-    );
-    // Per-shard stream for the engine's link-fault noise; host streams stay
-    // seed-derived (see `bcd_netsim::stream_seed`), which is what keeps
-    // per-target behaviour shard-invariant.
-    wrt.net.reseed_noise(stream_seed(
-        cfg.world.seed,
-        SHARD_NOISE_STREAM ^ shard_id as u64,
-    ));
-    // Arm the causal flight recorder after spawn so warmup resolver traffic
-    // (which repeats in every shard) can never be sampled into it.
-    if let Some(t) = trace_cfg {
-        wrt.net.arm_flight_sampled(t.capacity, t.sample.clone());
-    }
-    let spawn_wall = wall_start.elapsed();
-    let run_start = Instant::now();
-    wrt.net.run_until(run_until);
-    let run_wall = run_start.elapsed();
-    let extract_start = Instant::now();
-
-    // Pre-sort this shard's streams canonically so the merge can absorb
-    // them with a streaming k-way pass instead of a global re-sort. The
-    // sort runs here — inside the parallel shard phase — not on the merge
-    // thread.
-    let mut entries = wrt.log.borrow().entries().to_vec();
-    shard::canonical_sort(&mut entries);
-    let scanner = wrt.net.node::<Scanner>(scanner_host).expect("scanner node");
-    let scanner_stats = scanner.stats.clone();
-    let mut responses = scanner.responses.clone();
-    responses.sort_by_key(|r| (r.0, r.1));
-    let dns = observe::dns_totals(&wrt.net);
-    let events = wrt.net.events_processed();
-    let pending_deliveries = wrt.net.pending_deliveries();
-    let trace = wrt.net.trace.take();
-    let flight = wrt.net.take_flight();
-    let metrics = observe::shard_registry(
-        &wrt.net.counters,
-        events,
-        &dns,
-        &scanner_stats,
-        trace.as_ref(),
-    );
-    ShardOutcome {
-        entries,
-        scanner_stats,
-        responses,
-        counters: wrt.net.counters.clone(),
-        events,
-        budget_exhausted: wrt.net.budget_exhausted,
-        pending_deliveries,
-        trace,
-        flight,
-        dns,
-        metrics,
-        wall: run_wall,
-        spawn_wall,
-        extract_wall: extract_start.elapsed(),
     }
 }

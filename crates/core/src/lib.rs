@@ -40,6 +40,7 @@ pub mod invariants;
 pub mod lab;
 pub mod observe;
 pub mod outreach;
+pub(crate) mod pass;
 pub mod qname;
 pub mod report;
 pub mod scanner;

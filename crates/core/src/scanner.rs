@@ -46,6 +46,68 @@ pub(crate) fn probe_unit(salt: u64, q: &ScheduledQuery) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// Hash tag of scheduled and follow-up probes. The human-lookup path
+/// hashes its qname untagged, so its port and txid differ from those of
+/// the probe it repeats.
+pub(crate) const PROBE_TAG: &[u8] = b"probe";
+
+/// Send an `A` query for `qname` from `src` to `dst`, encoded through
+/// the node's reusable `scratch` buffer.
+///
+/// Port and txid derive from `salt`, the qname (which already encodes the
+/// probe's identity — ts.src.dst.asn) and `tag` rather than the node rng:
+/// a sharded run's scanner only walks its own slice of the schedule, so
+/// rng stream *position* is layout-dependent, and every packet byte must
+/// not be (the flight recorder records them verbatim; the authoritative
+/// log records the port).
+pub(crate) fn send_query(
+    ctx: &mut NodeCtx<'_>,
+    scratch: &mut WireWriter,
+    salt: u64,
+    tag: &[u8],
+    src: IpAddr,
+    dst: IpAddr,
+    qname: bcd_dnswire::Name,
+) {
+    let mut canon = [0u8; MAX_NAME_WIRE_LEN];
+    let n = qname.canonical_into(&mut canon);
+    let mut h = FNV_OFFSET;
+    fnv1a(&mut h, &salt.to_le_bytes());
+    fnv1a(&mut h, &canon[..n]);
+    fnv1a(&mut h, tag);
+    let txid = (h >> 32) as u16;
+    let sport = 20_000 + (h % 40_000) as u16;
+    // Causal trace id: pure function of the qname, sampled per the armed
+    // flight recorder's policy (so a human lookup shares its probe's
+    // trace). The sampler sees the same canonical bytes (trailing dot
+    // trimmed inside), so the armed-but-unsampled path never
+    // Display-formats the name.
+    let trace = if ctx.tracing() {
+        ctx.sample_trace(std::str::from_utf8(&canon[..n]).unwrap_or("."))
+    } else {
+        0
+    };
+    let msg = Message::query(txid, qname, RType::A);
+    msg.encode_into(scratch);
+    ctx.send(Packet::udp(src, dst, sport, 53, scratch.as_bytes()).with_trace(trace));
+}
+
+/// If `now` falls inside one of the §3.4 `outages`, the time it ends.
+pub(crate) fn outage_end(outages: &[(SimTime, SimDuration)], now: SimTime) -> Option<SimTime> {
+    outages
+        .iter()
+        .filter(|(start, len)| now >= *start && now < *start + *len)
+        .map(|(start, len)| *start + *len)
+        .max()
+}
+
+/// §3.8: whether an opt-out request received by `now` covers `target`.
+pub(crate) fn opted_out(opt_outs: &[(SimTime, Prefix)], now: SimTime, target: IpAddr) -> bool {
+    opt_outs
+        .iter()
+        .any(|(when, p)| now >= *when && p.contains(target))
+}
+
 /// Human-intervention noise model (§3.6.3).
 #[derive(Debug, Clone, Copy)]
 pub struct HumanNoise {
@@ -163,47 +225,14 @@ impl Scanner {
         dst: IpAddr,
         qname: bcd_dnswire::Name,
     ) {
-        // Port and txid derive from the qname (which already encodes the
-        // probe's identity — ts.src.dst.asn) rather than the node rng: a
-        // sharded run's scanner only walks its own slice of the schedule,
-        // so rng stream *position* is layout-dependent, and every packet
-        // byte must not be (the flight recorder records them verbatim).
-        let mut canon = [0u8; MAX_NAME_WIRE_LEN];
-        let n = qname.canonical_into(&mut canon);
-        let mut h = FNV_OFFSET;
-        fnv1a(&mut h, &self.cfg.noise_salt.to_le_bytes());
-        fnv1a(&mut h, &canon[..n]);
-        fnv1a(&mut h, b"probe");
-        let txid = (h >> 32) as u16;
-        let sport = 20_000 + (h % 40_000) as u16;
-        // Causal trace id: pure function of the qname, sampled per the
-        // armed flight recorder's policy. The sampler sees the same
-        // canonical bytes (trailing dot trimmed inside), so the
-        // armed-but-unsampled path never Display-formats the name.
-        let trace = if ctx.tracing() {
-            ctx.sample_trace(std::str::from_utf8(&canon[..n]).unwrap_or("."))
-        } else {
-            0
-        };
-        let msg = Message::query(txid, qname, RType::A);
-        msg.encode_into(&mut self.scratch);
-        ctx.send(Packet::udp(src, dst, sport, 53, self.scratch.as_bytes()).with_trace(trace));
-    }
-
-    /// If `now` falls inside a configured outage, the time it ends.
-    fn outage_end(&self, now: SimTime) -> Option<SimTime> {
-        self.cfg
-            .outages
-            .iter()
-            .filter(|(start, len)| now >= *start && now < *start + *len)
-            .map(|(start, len)| *start + *len)
-            .max()
+        let salt = self.cfg.noise_salt;
+        send_query(ctx, &mut self.scratch, salt, PROBE_TAG, src, dst, qname);
     }
 
     fn emit_scheduled(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
         // Powered off: nothing leaves; resume the walker when power returns.
-        if let Some(end) = self.outage_end(now) {
+        if let Some(end) = outage_end(&self.cfg.outages, now) {
             self.stats.outage_deferrals += 1;
             ctx.set_timer(end - now, TOK_WALK);
             return;
@@ -229,12 +258,7 @@ impl Scanner {
                 category: self.cfg.schedule.category(i),
             };
             // §3.8: honour opt-out requests received before this probe.
-            if self
-                .cfg
-                .opt_outs
-                .iter()
-                .any(|(t, p)| now >= *t && p.contains(q.target))
-            {
+            if opted_out(&self.cfg.opt_outs, now, q.target) {
                 self.stats.opted_out += 1;
                 continue;
             }
@@ -384,24 +408,8 @@ impl Scanner {
                 } else {
                     self.cfg.lab_v4
                 };
-                let mut canon = [0u8; MAX_NAME_WIRE_LEN];
-                let n = qname.canonical_into(&mut canon);
-                let mut h = FNV_OFFSET;
-                fnv1a(&mut h, &self.cfg.noise_salt.to_le_bytes());
-                fnv1a(&mut h, &canon[..n]);
-                let sport = 20_000 + (h % 40_000) as u16;
-                // Same qname as the spoofed probe → same trace id, so a
-                // sampled trace shows the human lookup alongside the probe.
-                let trace = if ctx.tracing() {
-                    ctx.sample_trace(std::str::from_utf8(&canon[..n]).unwrap_or("."))
-                } else {
-                    0
-                };
-                let msg = Message::query((h >> 32) as u16, qname, RType::A);
-                msg.encode_into(&mut self.scratch);
-                ctx.send(
-                    Packet::udp(admin, lab, sport, 53, self.scratch.as_bytes()).with_trace(trace),
-                );
+                let salt = self.cfg.noise_salt;
+                send_query(ctx, &mut self.scratch, salt, b"", admin, lab, qname);
             }
         }
     }

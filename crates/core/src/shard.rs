@@ -34,7 +34,6 @@ use bcd_dnswire::RCode;
 use bcd_netsim::{FlightRecorder, Merge, NetCounters, SimTime, Trace};
 use bcd_obs::MetricsRegistry;
 use std::net::IpAddr;
-use std::time::Duration;
 
 /// Shard count requested via the `BCD_SHARDS` environment variable, if any.
 pub fn shards_from_env() -> Option<usize> {
@@ -154,36 +153,58 @@ impl Merge for ScannerStats {
     }
 }
 
-/// Everything one shard's run produces, in `Send`-able form (worker shards
-/// run on their own threads; the world itself stays thread-local).
-pub struct ShardOutcome {
+/// Everything one shard's probe pass produces, in `Send`-able form (shards
+/// run on worker threads; each runtime stays on its own thread).
+pub struct ShardOutcome<T> {
+    /// The shard's authoritative log, canonically sorted.
     pub entries: Vec<QueryLogEntry>,
-    pub scanner_stats: ScannerStats,
-    pub responses: Vec<(SimTime, IpAddr, RCode)>,
     pub counters: NetCounters,
     pub events: u64,
     pub budget_exhausted: bool,
     /// Deliver events still queued when the horizon ended (in-flight
     /// packets; the conservation invariant needs them to balance `sent`).
     pub pending_deliveries: u64,
-    /// Packet capture, when the world config enables one.
-    pub trace: Option<Trace>,
-    /// Causal span flight recorder, when the run armed one (`BCD_TRACE`).
-    pub flight: Option<FlightRecorder>,
+    /// What the method took from the finished shard (method A:
+    /// `ScanArtifacts`; the CRP pass: its scanner's stats).
+    pub extract: T,
+}
+
+/// Method A's per-shard artifacts beyond the log and engine counters.
+#[derive(Default)]
+pub(crate) struct ScanArtifacts {
+    pub scanner_stats: ScannerStats,
+    /// Scanner responses, sorted by `(time, responder)`.
+    pub responses: Vec<(SimTime, IpAddr, RCode)>,
     /// Resolver counter totals harvested from this shard's runtime.
     pub dns: DnsTotals,
     /// This shard's layout-class metric slice (see [`crate::observe`]).
     pub metrics: MetricsRegistry,
-    /// Wall-clock time the shard's engine run took (merge: summed — the
-    /// aggregate is total engine CPU time; per-shard walls live in the run
-    /// profile).
-    pub wall: Duration,
-    /// Wall-clock time spent spawning the runtime and warming up the shard
-    /// (node construction, ACL/zone setup) before the engine ran.
-    pub spawn_wall: Duration,
-    /// Wall-clock time spent harvesting artifacts (log snapshot, counter
-    /// extraction) after the engine finished.
-    pub extract_wall: Duration,
+    /// Packet capture, when the world config enables one.
+    pub trace: Option<Trace>,
+    /// Causal span flight recorder, when the run armed one (`BCD_TRACE`).
+    pub flight: Option<FlightRecorder>,
+}
+
+impl Merge for ScanArtifacts {
+    fn merge(&mut self, other: ScanArtifacts) {
+        self.scanner_stats.merge(other.scanner_stats);
+        let ours = std::mem::take(&mut self.responses).into_iter();
+        self.responses = kway_merge(vec![ours, other.responses.into_iter()], |a, b| {
+            (a.0, a.1).cmp(&(b.0, b.1))
+        });
+        self.dns.merge(other.dns);
+        self.metrics.merge(other.metrics);
+        match (&mut self.trace, other.trace) {
+            (Some(t), Some(other)) => t.merge(other),
+            (t @ None, Some(other)) => *t = Some(other),
+            _ => {}
+        }
+        match (&mut self.flight, other.flight) {
+            (Some(f), Some(other)) => f.merge(other),
+            (f @ None, Some(other)) => *f = Some(other),
+            _ => {}
+        }
+    }
 }
 
 /// Absorb pre-sorted per-shard streams into one exactly-reserved vec via
@@ -226,28 +247,19 @@ fn kway_merge<T>(
 ///
 /// Query-log entries arrive canonically pre-sorted per shard (the shard
 /// runner sorts at extraction, in parallel) and are absorbed by a
-/// streaming k-way merge; scanner responses likewise by `(time,
-/// responder)`; counters and stats summed via [`Merge`].
-pub fn merge_outcomes(outcomes: Vec<ShardOutcome>) -> ShardOutcome {
+/// streaming k-way merge; counters and the method's extracts fold via
+/// [`Merge`] in shard-id order, so extracted streams (method A's scanner
+/// responses) keep ties in shard-id order too.
+pub fn merge_outcomes<T: Merge + Default>(outcomes: Vec<ShardOutcome<T>>) -> ShardOutcome<T> {
     let mut merged = ShardOutcome {
         entries: Vec::new(),
-        scanner_stats: ScannerStats::default(),
-        responses: Vec::new(),
         counters: NetCounters::default(),
         events: 0,
         budget_exhausted: false,
         pending_deliveries: 0,
-        trace: None,
-        flight: None,
-        dns: DnsTotals::default(),
-        metrics: MetricsRegistry::new(),
-        wall: Duration::ZERO,
-        spawn_wall: Duration::ZERO,
-        extract_wall: Duration::ZERO,
+        extract: T::default(),
     };
     let mut entry_streams: Vec<std::vec::IntoIter<QueryLogEntry>> =
-        Vec::with_capacity(outcomes.len());
-    let mut response_streams: Vec<std::vec::IntoIter<(SimTime, IpAddr, RCode)>> =
         Vec::with_capacity(outcomes.len());
     for o in outcomes {
         debug_assert!(
@@ -257,30 +269,13 @@ pub fn merge_outcomes(outcomes: Vec<ShardOutcome>) -> ShardOutcome {
             "shard entries must arrive canonically sorted"
         );
         entry_streams.push(o.entries.into_iter());
-        response_streams.push(o.responses.into_iter());
-        merged.scanner_stats.merge(o.scanner_stats);
         merged.counters.merge(o.counters);
         merged.events += o.events;
         merged.budget_exhausted |= o.budget_exhausted;
         merged.pending_deliveries += o.pending_deliveries;
-        merged.dns.merge(o.dns);
-        merged.metrics.merge(o.metrics);
-        merged.wall += o.wall;
-        merged.spawn_wall += o.spawn_wall;
-        merged.extract_wall += o.extract_wall;
-        match (&mut merged.trace, o.trace) {
-            (Some(t), Some(other)) => t.merge(other),
-            (t @ None, Some(other)) => *t = Some(other),
-            _ => {}
-        }
-        match (&mut merged.flight, o.flight) {
-            (Some(f), Some(other)) => f.merge(other),
-            (f @ None, Some(other)) => *f = Some(other),
-            _ => {}
-        }
+        merged.extract.merge(o.extract);
     }
     merged.entries = kway_merge(entry_streams, canonical_cmp);
-    merged.responses = kway_merge(response_streams, |a, b| (a.0, a.1).cmp(&(b.0, b.1)));
     merged
 }
 

@@ -7,9 +7,16 @@
 //! how the run was split. This is the metrics-side companion of
 //! `shard_equivalence.rs` (which pins the analysis renders).
 
-use bcd_core::{Experiment, ExperimentConfig};
+use bcd_core::{run_dual, schedule, shard};
+use bcd_core::{Experiment, ExperimentConfig, LaneLayout, Schedule, CRP_CATEGORIES};
+use bcd_netsim::stream_seed;
 use bcd_obs::report::{names, render_run_report_deterministic};
 use bcd_obs::{deterministic_jsonl, full_jsonl, ObsEnv};
+use std::time::Instant;
+
+/// The RNG stream of the schedule's per-target hash salt. Mirrors
+/// `bcd_core::experiment::SCHEDULE_SALT_STREAM`, which is crate-private.
+const SCHEDULE_SALT_STREAM: u64 = 0x5343_4845_4455_4C45; // "SCHEDULE"
 
 fn run(seed: u64, shards: usize) -> (String, String, bcd_core::ExperimentData) {
     let mut cfg = ExperimentConfig::tiny(seed);
@@ -100,4 +107,67 @@ fn profile_records_every_pipeline_phase() {
         .count();
     assert_eq!(shard_runs, data.obs.shards);
     assert!(data.obs.profile.sim_horizon().is_some());
+}
+
+#[test]
+fn dual_profile_total_fits_elapsed_and_nests_crp_shard_phases() {
+    let mut cfg = ExperimentConfig::tiny(11);
+    cfg.shards = 4;
+    cfg.workers = 2;
+    let t0 = Instant::now();
+    let dual = run_dual(cfg.clone(), &ObsEnv::disabled());
+    let elapsed = t0.elapsed();
+    let profile = &dual.a.obs.profile;
+    // Shard phases overlap on the worker pool; the total counts only the
+    // top-level phases that enclose them, which run one after another.
+    assert!(
+        profile.total_wall() <= elapsed,
+        "profile total {:?} exceeds the {:?} the run took",
+        profile.total_wall(),
+        elapsed
+    );
+
+    // Re-plan the CRP pass from the public schedule API to learn its shard
+    // count and horizon independently of the driver.
+    let (world, targets) = (&dual.a.world, &dual.a.targets);
+    let salt = stream_seed(cfg.world.seed, SCHEDULE_SALT_STREAM);
+    let filter = Some(&CRP_CATEGORIES[..]);
+    let census = schedule::census(
+        targets,
+        world.topo.routes(),
+        &world.v6_hitlist,
+        filter,
+        schedule::lane_count(cfg.rate),
+        salt,
+        cfg.target_sample,
+    );
+    let layout = LaneLayout::new(cfg.rate, cfg.window, census.total, salt, cfg.target_sample);
+    let (_, shards) = shard::assign_lanes(&census.lane_counts, cfg.shards);
+    let global = Schedule::build_global(
+        targets,
+        world.topo.routes(),
+        &world.v6_hitlist,
+        filter,
+        &census,
+        &layout,
+    );
+    assert!(cfg.outages.is_empty());
+    let horizon = global.end + cfg.drain;
+
+    let runs: Vec<_> = profile
+        .phases
+        .iter()
+        .filter(|p| p.name == "crp-shard-run")
+        .collect();
+    assert!(shards > 1, "tiny CRP pass clamped to one shard");
+    assert_eq!(runs.len(), shards, "one crp-shard-run per CRP shard");
+    for (sid, p) in runs.iter().enumerate() {
+        assert_eq!(p.shard, Some(sid));
+        assert_eq!(p.sim_end, Some(horizon), "crp-shard-run[{sid}] horizon");
+    }
+    // Method A's pool and the CRP pass each enclose their shard phases.
+    for name in ["shard-pool", "crp-run"] {
+        let n = profile.phases.iter().filter(|p| p.name == name).count();
+        assert_eq!(n, 1, "{name} recorded once");
+    }
 }

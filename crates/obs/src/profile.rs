@@ -35,12 +35,13 @@ pub fn peak_rss_kib() -> Option<u64> {
 #[derive(Debug, Clone)]
 pub struct PhaseRecord {
     /// Phase name (canonical set: `worldgen-build`, `target-extract`,
-    /// `source-plans`, `schedule-build`, `shard-spawn`, `shard-run`,
-    /// `shard-extract`, `merge`, `analysis`, `report` — free-form names
-    /// are fine too).
+    /// `schedule-census`, `schedule-build`, `shard-spawn`, `shard-run`,
+    /// `shard-extract`, `shard-pool`, `merge`, `crp-shard-spawn`,
+    /// `crp-shard-run`, `crp-shard-extract`, `crp-run`, `agreement`,
+    /// `analysis`, `report` — free-form names are fine too).
     pub name: String,
     /// Shard id for per-shard phases (`shard-run` and friends), else
-    /// `None`.
+    /// `None`. A per-shard phase lies inside one top-level phase.
     pub shard: Option<usize>,
     /// Wall-clock duration (layout/machine-dependent; excluded from
     /// deterministic output).
@@ -105,9 +106,16 @@ impl RunProfile {
         out
     }
 
-    /// Total wall time across all recorded phases.
+    /// Wall time of the run: the sum of the top-level phases. Every
+    /// per-shard phase lies inside exactly one top-level phase (method A's
+    /// `shard-pool`, the CRP pass's `crp-run`), and shard phases overlap
+    /// on the worker pool, so adding them would count parallel time twice.
     pub fn total_wall(&self) -> Duration {
-        self.phases.iter().map(|p| p.wall).sum()
+        self.phases
+            .iter()
+            .filter(|p| p.shard.is_none())
+            .map(|p| p.wall)
+            .sum()
     }
 
     /// The sim horizon of the run: the maximum `sim_end` over all phases
@@ -149,6 +157,18 @@ mod tests {
             SimTime::from_secs(3600),
         );
         assert_eq!(p.sim_horizon(), Some(SimTime::from_secs(3600)));
-        assert_eq!(p.total_wall(), Duration::from_millis(27));
+        assert_eq!(p.total_wall(), Duration::from_millis(5));
+    }
+
+    #[test]
+    fn total_wall_counts_nested_shard_phases_once() {
+        let mut p = RunProfile::new();
+        p.record("schedule-build", Duration::from_millis(4));
+        p.record_shard_phase("shard-spawn", 0, Duration::from_millis(2));
+        p.record_shard("shard-run", 0, Duration::from_millis(10), SimTime::ZERO);
+        p.record_shard("shard-run", 1, Duration::from_millis(9), SimTime::ZERO);
+        p.record("shard-pool", Duration::from_millis(12));
+        p.record("merge", Duration::from_millis(1));
+        assert_eq!(p.total_wall(), Duration::from_millis(17));
     }
 }
